@@ -1,5 +1,5 @@
 // Command benchrunner regenerates every table and figure of the paper's
-// reconstructed evaluation (E1..E24 plus the design ablations), printing
+// reconstructed evaluation (E1..E25 plus the design ablations), printing
 // each as a text table. See DESIGN.md for the experiment index and
 // EXPERIMENTS.md for the recorded results.
 //
@@ -28,7 +28,7 @@ func main() {
 
 	var (
 		scale   = flag.Float64("scale", 1.0, "scale factor for corpus/queries/sim durations")
-		only    = flag.String("only", "", "run a single experiment (E1..E24, ABL-1..ABL-8)")
+		only    = flag.String("only", "", "run a single experiment (E1..E25, ABL-1..ABL-8)")
 		jsonO   = flag.String("json", "", "write the run's measurements to this file as a JSON array of records (see experiments.Record for the schema)")
 		workers = flag.Int("exec-workers", 0, "bounded search executor workers for the parallel-search experiments (0 = GOMAXPROCS)")
 	)
@@ -50,50 +50,18 @@ func main() {
 		c.RunAll()
 		return
 	}
-	steps := map[string]func(){
-		"E1":    func() { c.E1Characterization() },
-		"E2":    func() { c.E2Workload() },
-		"E3":    func() { c.E3PhaseBreakdown() },
-		"E4":    func() { c.E4ServiceTimeAnatomy() },
-		"E5":    func() { c.E5LoadCurve() },
-		"E6":    func() { c.E6Throughput() },
-		"E7":    func() { c.E7PartitionTail() },
-		"E8":    func() { c.E8PartitionThroughput() },
-		"E9":    func() { c.E9CDF() },
-		"E10":   func() { c.E10LowPower() },
-		"E11":   func() { c.E11Energy() },
-		"E12":   func() { c.E12RealPartition() },
-		"E13":   func() { c.E13Cluster() },
-		"E14":   func() { c.E14ResultCache() },
-		"E15":   func() { c.E15DVFS() },
-		"E16":   func() { c.E16TailAtScale() },
-		"E17":   func() { c.E17Diurnal() },
-		"E18":   func() { c.E18Hedging() },
-		"E19":   func() { c.E19LiveFaults() },
-		"E20":   func() { c.E20LiveIngest() },
-		"E21":   func() { c.E21Replication() },
-		"E22":   func() { c.E22Durability() },
-		"E23":   func() { c.E23ParallelIndexing() },
-		"E24":   func() { c.E24SharedExec() },
-		"ABL-1": func() { c.AblationMaxScore() },
-		"ABL-2": func() { c.AblationCompression() },
-		"ABL-3": func() { c.AblationAssignment() },
-		"ABL-4": func() { c.AblationTopK() },
-		"ABL-5": func() { c.AblationScheduling() },
-		"ABL-6": func() { c.AblationSkipLists() },
-		"ABL-7": func() { c.AblationBlockMax() },
-		"ABL-8": func() { c.AblationPackedCompression() },
-	}
-	run, ok := steps[*only]
-	if !ok {
-		fmt.Fprintf(os.Stderr, "unknown experiment %q; valid:", *only)
-		for k := range steps {
-			fmt.Fprintf(os.Stderr, " %s", k)
+	for _, s := range experiments.Steps {
+		if s.Name == *only {
+			s.Run(c)
+			return
 		}
-		fmt.Fprintln(os.Stderr)
-		os.Exit(2)
 	}
-	run()
+	fmt.Fprintf(os.Stderr, "unknown experiment %q; valid:", *only)
+	for _, s := range experiments.Steps {
+		fmt.Fprintf(os.Stderr, " %s", s.Name)
+	}
+	fmt.Fprintln(os.Stderr)
+	os.Exit(2)
 }
 
 // writeJSON writes records to path as an indented JSON array. An empty

@@ -6,14 +6,15 @@ import (
 	"sync/atomic"
 )
 
-// BlockCache is the searcher-side cache of posting blocks: the unit the
-// lazy segment reader fetches (one skipInterval-long block, or a whole
-// short list) is the unit cached here. The cache is byte-budgeted, not
-// entry-budgeted — block sizes vary by two orders of magnitude between
-// width-0 packed blocks and positional varint runs — and striped into
-// shards (same pattern as the query cache in internal/qcache) so that
-// concurrent query threads on different terms do not serialize on one
-// mutex.
+// BlockCache is the searcher-side cache of posting blocks: one
+// skipInterval-long block, or a whole short list, per entry. The lazy
+// segment reader fetches runs of blocks, but each block of a run is
+// cached as its own entry, so eviction works block by block. The cache
+// is byte-budgeted, not entry-budgeted — block sizes vary by two orders
+// of magnitude between width-0 packed blocks and positional varint
+// runs — and striped into shards (same pattern as the query cache in
+// internal/qcache) so that concurrent query threads on different terms
+// do not serialize on one mutex.
 //
 // Keys embed the segment's content-addressed blob key, which is what
 // makes generation changes safe with no epoch bookkeeping: a republished
@@ -110,6 +111,18 @@ func (c *BlockCache) Get(seg string, term int32, block int) []byte {
 	}
 	atomic.AddInt64(&c.hits, 1)
 	return el.Value.(*cacheEntry).data
+}
+
+// Has reports whether a block is cached, without counting a hit or a
+// miss and without refreshing its recency: the probe the fetch path uses
+// to decide how far a run of uncached blocks extends.
+func (c *BlockCache) Has(seg string, term int32, block int) bool {
+	k := blockKey{seg: seg, term: term, block: int32(block)}
+	sh := c.shard(k)
+	sh.mu.Lock()
+	_, ok := sh.index[k]
+	sh.mu.Unlock()
+	return ok
 }
 
 // Put inserts a fetched block, evicting least-recently-used entries in

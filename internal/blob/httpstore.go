@@ -21,7 +21,8 @@ import (
 //	GET    /list?prefix=<p>     newline-separated keys
 //
 // Ranged GETs are what make disaggregated serving viable over this
-// transport: a posting-block fetch moves one block, not one segment.
+// transport: a posting-block fetch moves one run of blocks, not one
+// segment.
 
 // HTTPStore is a Store backed by a blobd object server.
 type HTTPStore struct {
@@ -33,8 +34,17 @@ type HTTPStore struct {
 // (e.g. "http://127.0.0.1:9300").
 func NewHTTPStore(base string) *HTTPStore {
 	return &HTTPStore{
-		base:   strings.TrimRight(base, "/"),
-		client: &http.Client{Timeout: 30 * time.Second},
+		base: strings.TrimRight(base, "/"),
+		client: &http.Client{
+			Timeout: 30 * time.Second,
+			// A searcher issues block fetches from every query thread at
+			// once; the default transport keeps only two idle connections
+			// per host and closes the rest after each burst, leaving
+			// sockets in TIME_WAIT and a new dial on the next fetch.
+			Transport: &http.Transport{
+				MaxIdleConnsPerHost: 256,
+			},
+		},
 	}
 }
 

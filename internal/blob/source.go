@@ -13,26 +13,37 @@ import (
 // doc store, dictionary with skip tables) eagerly — the parts every
 // query touches — and wires the segment's posting reads through the
 // shared BlockCache: a cache hit costs a map lookup, a miss becomes one
-// ranged read of exactly one posting block. The source is shared across
-// generations; because cache keys are content-addressed segment keys,
-// snapshots of different generations coexist in it without interfering.
+// ranged read of the run of uncached blocks starting at the missing one
+// (at most index.MaxFetchRun blocks, ending before the first cached
+// block or at the end of the list), each block then cached on its own.
+// The source is shared across generations; because cache keys are
+// content-addressed segment keys, snapshots of different generations
+// coexist in it without interfering.
 type CachedSegmentSource struct {
 	store Store
 	cache *BlockCache
-	// MaxAttempts bounds fetch attempts per block (>=1). Object-store
-	// reads fail transiently; a block fetch inside query evaluation has
-	// no caller to bubble an error to (a missing block degrades that one
-	// list to exhausted), so transient faults are retried here.
+	// MaxAttempts bounds fetch attempts per run of blocks (>=1).
+	// Object-store reads fail transiently; a block fetch inside query
+	// evaluation has no caller to bubble an error to (a missing block
+	// degrades that one list to exhausted), so transient faults are
+	// retried here.
 	MaxAttempts int
 
+	fetches  atomic.Int64
+	blocks   atomic.Int64
 	retries  atomic.Int64
 	failures atomic.Int64
 }
 
-// SourceStats counts fetch-path incidents, surfaced next to the cache
-// counters on /metrics.
+// SourceStats counts the fetch path's work and incidents, surfaced next
+// to the cache counters on /metrics.
 type SourceStats struct {
 	CacheStats
+	// Fetches counts the ranged GETs issued for posting-block runs, one
+	// per run; retried attempts are counted in FetchRetries instead.
+	Fetches int64 `json:"fetches"`
+	// BlocksFetched counts the posting blocks those runs brought in.
+	BlocksFetched int64 `json:"blocks_fetched"`
 	FetchRetries  int64 `json:"fetch_retries"`
 	FetchFailures int64 `json:"fetch_failures"`
 }
@@ -46,6 +57,8 @@ func NewCachedSegmentSource(st Store, cache *BlockCache) *CachedSegmentSource {
 func (src *CachedSegmentSource) Stats() SourceStats {
 	return SourceStats{
 		CacheStats:    src.cache.Stats(),
+		Fetches:       src.fetches.Load(),
+		BlocksFetched: src.blocks.Load(),
 		FetchRetries:  src.retries.Load(),
 		FetchFailures: src.failures.Load(),
 	}
@@ -123,20 +136,32 @@ func (src *CachedSegmentSource) openSegment(ref SegmentRef) (*index.Segment, err
 	return index.OpenLazySegment(meta, src.fetcher(ref.Key, layout.PostOff))
 }
 
-// fetcher returns the BlockFetcher for one segment: cache first, then a
-// retried ranged read. off is relative to the postings section; postOff
-// rebases it to the file.
-func (src *CachedSegmentSource) fetcher(key string, postOff int64) index.BlockFetcher {
-	return func(term int32, block int, off, n int64) ([]byte, error) {
-		if data := src.cache.Get(key, term, block); int64(len(data)) == n {
+// fetcher returns the RunFetcher for one segment. A cached first block
+// is returned alone; otherwise the run is cut at the first block already
+// cached and read with one retried ranged GET, and each of its blocks is
+// cached as its own copy, so evicting one frees exactly its bytes. bounds
+// are relative to the postings section; postOff rebases them to the file.
+func (src *CachedSegmentSource) fetcher(key string, postOff int64) index.RunFetcher {
+	return func(term int32, first int, bounds []int64) ([]byte, error) {
+		if data := src.cache.Get(key, term, first); int64(len(data)) == bounds[1]-bounds[0] {
 			return data, nil
 		}
-		data, err := src.getRetry(key, postOff+off, n)
+		n := 1
+		for n < len(bounds)-1 && !src.cache.Has(key, term, first+n) {
+			n++
+		}
+		src.fetches.Add(1)
+		data, err := src.getRetry(key, postOff+bounds[0], bounds[n]-bounds[0])
 		if err != nil {
 			src.failures.Add(1)
 			return nil, err
 		}
-		src.cache.Put(key, term, block, data)
+		src.blocks.Add(int64(n))
+		for i := 0; i < n; i++ {
+			block := make([]byte, bounds[i+1]-bounds[i])
+			copy(block, data[bounds[i]-bounds[0]:])
+			src.cache.Put(key, term, first+i, block)
+		}
 		return data, nil
 	}
 }

@@ -1,8 +1,10 @@
 package blob
 
 import (
+	"bytes"
 	"fmt"
 	"net/http/httptest"
+	"sync"
 	"sync/atomic"
 	"testing"
 
@@ -240,5 +242,196 @@ func TestSourceMissingBlobFails(t *testing.T) {
 	src := NewCachedSegmentSource(st, NewBlockCache(1<<20))
 	if _, _, err := src.LoadSnapshot(); err == nil {
 		t.Fatal("LoadSnapshot succeeded with its segment blob deleted")
+	}
+}
+
+// longestTerm returns the term of seg with the longest posting list and
+// the number of skip-aligned blocks it is stored in.
+func longestTerm(t *testing.T, seg *index.Segment) (string, int) {
+	t.Helper()
+	var best index.TermInfo
+	var term string
+	for _, tm := range seg.Terms() {
+		if ti, _ := seg.Term(tm); ti.DocFreq > best.DocFreq {
+			best, term = ti, tm
+		}
+	}
+	const blockLen = 64 // postings per skip-aligned block
+	if best.DocFreq < 2*blockLen {
+		t.Fatalf("longest list has %d postings: too short for a skip table", best.DocFreq)
+	}
+	return term, int(best.DocFreq)/blockLen + 1
+}
+
+func scanDocs(seg *index.Segment, term string) []int32 {
+	it, _ := seg.Postings(term)
+	var docs []int32
+	for it.Next() {
+		docs = append(docs, it.Doc())
+	}
+	return docs
+}
+
+// TestRunFetchCount: a cold sequential scan of an N-block list costs at
+// most ⌈N/MaxFetchRun⌉ ranged GETs, and a warm scan none.
+func TestRunFetchCount(t *testing.T) {
+	seg := corpusSeg(t)
+	term, blocks := longestTerm(t, seg)
+	st := NewMemStore()
+	pub := &Publisher{Store: st, CreatedBy: "test"}
+	if _, err := pub.Publish([]PubSegment{{ID: 1, Seg: seg}}); err != nil {
+		t.Fatal(err)
+	}
+	src := NewCachedSegmentSource(st, NewBlockCache(32<<20))
+	snap, ok, err := src.LoadSnapshot()
+	if err != nil || !ok {
+		t.Fatalf("LoadSnapshot: ok=%v err=%v", ok, err)
+	}
+	want := scanDocs(seg, term)
+	for _, pass := range []struct {
+		name    string
+		maxGets int64
+	}{
+		{"cold", int64((blocks + index.MaxFetchRun - 1) / index.MaxFetchRun)},
+		{"warm", 0},
+	} {
+		before, s0 := st.Counters().GetRanges, src.Stats()
+		got := scanDocs(snap.Segments[0], term)
+		gets, s1 := st.Counters().GetRanges-before, src.Stats()
+		if fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Fatalf("%s scan of %q: lazy docs differ from resident", pass.name, term)
+		}
+		if gets > pass.maxGets {
+			t.Errorf("%s scan of a %d-block list made %d GetRange calls, want <= %d", pass.name, blocks, gets, pass.maxGets)
+		}
+		if f := s1.Fetches - s0.Fetches; f != gets {
+			t.Errorf("%s scan: Fetches counted %d, store saw %d GetRange calls", pass.name, f, gets)
+		}
+		if pass.name == "cold" && s1.BlocksFetched-s0.BlocksFetched != int64(blocks) {
+			t.Errorf("cold scan: BlocksFetched = %d, want %d", s1.BlocksFetched-s0.BlocksFetched, blocks)
+		}
+	}
+}
+
+// TestRunBlocksCachedSeparately: the blocks of one fetched run are
+// cached as separate copies, so evicting one frees exactly its bytes,
+// and the cache never holds more than its budget.
+func TestRunBlocksCachedSeparately(t *testing.T) {
+	const blockLen, nBlocks = 100, 8
+	st := NewMemStore()
+	obj := make([]byte, blockLen*nBlocks)
+	for i := range obj {
+		obj[i] = byte(i)
+	}
+	if err := st.Put("seg", obj); err != nil {
+		t.Fatal(err)
+	}
+	bounds := make([]int64, nBlocks+1)
+	for i := range bounds {
+		bounds[i] = int64(i * blockLen)
+	}
+
+	const budget = blockCacheShards * 4 * blockLen
+	c := NewBlockCache(budget)
+	src := NewCachedSegmentSource(st, c)
+	data, err := src.fetcher("seg", 0)(1, 0, bounds)
+	if err != nil || len(data) != len(obj) {
+		t.Fatalf("run fetch = %d bytes, err %v; want the whole %d-byte run", len(data), err, len(obj))
+	}
+	if gets := st.Counters().GetRanges; gets != 1 {
+		t.Fatalf("run of %d uncached blocks took %d GetRange calls, want 1", nBlocks, gets)
+	}
+	for b := 0; b < nBlocks; b++ {
+		got := c.Get("seg", 1, b)
+		if !bytes.Equal(got, obj[b*blockLen:(b+1)*blockLen]) {
+			t.Fatalf("cached block %d holds the wrong bytes", b)
+		}
+		if cap(got) != len(got) {
+			t.Fatalf("cached block %d is a %d-byte view of a %d-byte buffer, not its own copy", b, len(got), cap(got))
+		}
+	}
+
+	// Fill block 0's shard so exactly one more byte is needed: the LRU
+	// victim is block 0 alone (the oldest entry there), and the cache's
+	// bytes fall by exactly its length.
+	sh := c.shard(blockKey{seg: "seg", term: 1, block: 0})
+	other := int32(1000)
+	for c.shard(blockKey{seg: "other", term: other}) != sh {
+		other++
+	}
+	sh.mu.Lock()
+	free := budget/blockCacheShards - sh.bytes
+	sh.mu.Unlock()
+	before := c.Stats().Bytes
+	c.Put("other", other, 0, make([]byte, free+1))
+	if c.Has("seg", 1, 0) {
+		t.Fatal("block 0 survived an insert its shard had no room for")
+	}
+	for b := 1; b < nBlocks; b++ {
+		if !c.Has("seg", 1, b) {
+			t.Fatalf("evicting block 0 also dropped block %d of its run", b)
+		}
+	}
+	if after := c.Stats().Bytes; after != before-blockLen+free+1 {
+		t.Fatalf("cache bytes %d -> %d after evicting one %d-byte block for %d new bytes", before, after, blockLen, free+1)
+	}
+
+	// A scan of real lists through a budget far below the working set.
+	seg := corpusSeg(t)
+	pub := &Publisher{Store: st, CreatedBy: "test"}
+	if _, err := pub.Publish([]PubSegment{{ID: 1, Seg: seg}}); err != nil {
+		t.Fatal(err)
+	}
+	tiny := NewCachedSegmentSource(st, NewBlockCache(budget))
+	snap, ok, err := tiny.LoadSnapshot()
+	if err != nil || !ok {
+		t.Fatalf("LoadSnapshot: ok=%v err=%v", ok, err)
+	}
+	for _, term := range seg.Terms()[:200] {
+		if fmt.Sprint(scanDocs(snap.Segments[0], term)) != fmt.Sprint(scanDocs(seg, term)) {
+			t.Fatalf("term %q: lazy docs differ from resident under a tiny cache", term)
+		}
+		if s := tiny.Stats(); s.Bytes > budget {
+			t.Fatalf("cache holds %d bytes, budget %d", s.Bytes, budget)
+		}
+	}
+	if tiny.Stats().Evictions == 0 {
+		t.Fatal("a scan through a tiny cache evicted nothing")
+	}
+}
+
+// TestConcurrentRunFetches: iterators on several goroutines race to
+// fetch the same uncached runs — through a cache large enough to keep
+// them and through one that evicts constantly — and every one still
+// reads the resident list.
+func TestConcurrentRunFetches(t *testing.T) {
+	seg := corpusSeg(t)
+	term, _ := longestTerm(t, seg)
+	want := fmt.Sprint(scanDocs(seg, term))
+	st := NewMemStore()
+	pub := &Publisher{Store: st, CreatedBy: "test"}
+	if _, err := pub.Publish([]PubSegment{{ID: 1, Seg: seg}}); err != nil {
+		t.Fatal(err)
+	}
+	for _, budget := range []int64{32 << 20, 4 << 10} {
+		src := NewCachedSegmentSource(st, NewBlockCache(budget))
+		snap, ok, err := src.LoadSnapshot()
+		if err != nil || !ok {
+			t.Fatalf("LoadSnapshot: ok=%v err=%v", ok, err)
+		}
+		var wg sync.WaitGroup
+		for g := 0; g < 8; g++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				if got := fmt.Sprint(scanDocs(snap.Segments[0], term)); got != want {
+					t.Errorf("budget %d: a concurrent scan of %q read different docs", budget, term)
+				}
+			}()
+		}
+		wg.Wait()
+		if s := src.Stats(); s.FetchFailures != 0 || s.Bytes > budget {
+			t.Fatalf("budget %d: %d fetch failures, %d cached bytes", budget, s.FetchFailures, s.Bytes)
+		}
 	}
 }

@@ -35,8 +35,12 @@ type E25CacheRow struct {
 	// to zero.
 	ColdBytes int64
 	WarmBytes int64
-	ColdP99   time.Duration
-	WarmP99   time.Duration
+	// ColdFetches and WarmFetches are the ranged GETs the block path
+	// issued per pass: one per run of uncached blocks.
+	ColdFetches int64
+	WarmFetches int64
+	ColdP99     time.Duration
+	WarmP99     time.Duration
 }
 
 // E25Result is the disaggregated-serving experiment.
@@ -52,8 +56,8 @@ type E25Result struct {
 // lazy open (footer + metadata + the blocks that one query touches)
 // versus downloading and deserializing the whole segment. Part two
 // sweeps the block-cache budget and runs the measurement stream cold
-// and warm at each size, reporting hit rate, bytes over the wire, and
-// the cold-vs-warm tail.
+// and warm at each size, reporting hit rate, bytes over the wire, ranged
+// GETs issued, and the cold-vs-warm tail.
 func (c *Context) E25BlobServing() E25Result {
 	seg := c.Segment()
 	qs := c.Analyzed()
@@ -121,6 +125,8 @@ func (c *Context) E25BlobServing() E25Result {
 		c.record("E25", name, "warm_hit_rate_pct", 100*row.WarmHitRate)
 		c.record("E25", name, "cold_bytes_fetched", float64(row.ColdBytes))
 		c.record("E25", name, "warm_bytes_fetched", float64(row.WarmBytes))
+		c.record("E25", name, "cold_fetches", float64(row.ColdFetches))
+		c.record("E25", name, "warm_fetches", float64(row.WarmFetches))
 		c.record("E25", name, "cold_p99_ns", float64(row.ColdP99.Nanoseconds()))
 		c.record("E25", name, "warm_p99_ns", float64(row.WarmP99.Nanoseconds()))
 	}
@@ -135,11 +141,11 @@ func (c *Context) E25BlobServing() E25Result {
 	}
 	w.Flush()
 	w = c.table()
-	fmt.Fprintf(w, "\ncache_mb\tcold_hit\twarm_hit\tcold_bytes\twarm_bytes\tcold_p99\twarm_p99\n")
+	fmt.Fprintf(w, "\ncache_mb\tcold_hit\twarm_hit\tcold_bytes\twarm_bytes\tcold_fetches\twarm_fetches\tcold_p99\twarm_p99\n")
 	for _, r := range res.Cache {
-		fmt.Fprintf(w, "%d\t%.1f%%\t%.1f%%\t%d\t%d\t%s\t%s\n",
+		fmt.Fprintf(w, "%d\t%.1f%%\t%.1f%%\t%d\t%d\t%d\t%d\t%s\t%s\n",
 			r.CacheMB, 100*r.ColdHitRate, 100*r.WarmHitRate, r.ColdBytes, r.WarmBytes,
-			ms(r.ColdP99), ms(r.WarmP99))
+			r.ColdFetches, r.WarmFetches, ms(r.ColdP99), ms(r.WarmP99))
 	}
 	w.Flush()
 	return res
@@ -156,7 +162,7 @@ func (c *Context) runBlobCachePass(st *blob.MemStore, qs []search.Query, cacheMB
 	searcher := search.NewSearcher(snap.Segments[0], search.DefaultOptions())
 
 	row := E25CacheRow{CacheMB: cacheMB}
-	pass := func() (hitRate float64, bytes int64, p99 time.Duration) {
+	pass := func() (hitRate float64, bytes, fetches int64, p99 time.Duration) {
 		s0 := src.Stats()
 		lat := make([]float64, 0, len(qs))
 		for _, q := range qs {
@@ -173,9 +179,9 @@ func (c *Context) runBlobCachePass(st *blob.MemStore, qs []search.Query, cacheMB
 		if err != nil {
 			panic(fmt.Sprintf("experiments: percentile: %v", err))
 		}
-		return hitRate, s1.BytesFetched - s0.BytesFetched, time.Duration(p * float64(time.Second))
+		return hitRate, s1.BytesFetched - s0.BytesFetched, s1.Fetches - s0.Fetches, time.Duration(p * float64(time.Second))
 	}
-	row.ColdHitRate, row.ColdBytes, row.ColdP99 = pass()
-	row.WarmHitRate, row.WarmBytes, row.WarmP99 = pass()
+	row.ColdHitRate, row.ColdBytes, row.ColdFetches, row.ColdP99 = pass()
+	row.WarmHitRate, row.WarmBytes, row.WarmFetches, row.WarmP99 = pass()
 	return row
 }

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"bytes"
+	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -579,7 +580,7 @@ func TestE25BlobServing(t *testing.T) {
 		if r.ColdHitRate < 0 || r.ColdHitRate > 1 || r.WarmHitRate < 0 || r.WarmHitRate > 1 {
 			t.Errorf("hit rate out of range: %+v", r)
 		}
-		if r.ColdBytes <= 0 {
+		if r.ColdBytes <= 0 || r.ColdFetches <= 0 {
 			t.Errorf("cold pass fetched nothing: %+v", r)
 		}
 		if r.WarmHitRate < r.ColdHitRate {
@@ -592,8 +593,8 @@ func TestE25BlobServing(t *testing.T) {
 	// The largest cache holds the whole working set: the warm pass must
 	// not touch the store at all.
 	last := res.Cache[len(res.Cache)-1]
-	if last.WarmBytes != 0 {
-		t.Errorf("warm pass with a %dMB cache fetched %d bytes, want 0", last.CacheMB, last.WarmBytes)
+	if last.WarmBytes != 0 || last.WarmFetches != 0 {
+		t.Errorf("warm pass with a %dMB cache fetched %d bytes in %d GETs, want 0", last.CacheMB, last.WarmBytes, last.WarmFetches)
 	}
 }
 
@@ -611,6 +612,23 @@ func TestRunAllSmoke(t *testing.T) {
 	for _, want := range []string{"E1", "E7", "E10", "E19", "E20", "E22", "E23", "E24", "E25", "ABL-4", "ABL-7", "ABL-8", "completed"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("output missing %q", want)
+		}
+	}
+}
+
+// TestStepsRegistry: every experiment is registered once under its own
+// name, so benchrunner -only can select each of them.
+func TestStepsRegistry(t *testing.T) {
+	seen := map[string]bool{}
+	for _, s := range Steps {
+		if s.Name == "" || s.Run == nil || seen[s.Name] {
+			t.Fatalf("bad or duplicate registry entry %q", s.Name)
+		}
+		seen[s.Name] = true
+	}
+	for i := 1; i <= 25; i++ {
+		if name := fmt.Sprintf("E%d", i); !seen[name] {
+			t.Errorf("experiment %s is not registered", name)
 		}
 	}
 }

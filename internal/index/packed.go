@@ -176,7 +176,7 @@ func (it *PostingsIterator) decodePackedBlock() bool {
 
 // decodeFullBlock decodes one full bit-packed block starting at it.pos.
 // The block's bytes are read through the iterator's window, so lazy
-// (blob-served) lists pull exactly one block on demand.
+// (blob-served) lists pull the run starting at this block on demand.
 func (it *PostingsIterator) decodeFullBlock(prev int32) bool {
 	buf, base := it.window()
 	pos := it.pos - base

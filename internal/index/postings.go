@@ -90,9 +90,9 @@ type PostingsIterator struct {
 	shallow    int       // current block of the shallow (non-decoding) cursor
 
 	// Lazy (blob-served) lists decode through a sliding window instead of
-	// a fully resident buf: win holds the bytes of one block, winBase is
-	// win[0]'s offset within the posting list, and fetch pulls the block
-	// containing a byte offset on demand. Fully resident iterators set
+	// a fully resident buf: win holds the bytes of a run of whole blocks,
+	// winBase is win[0]'s offset within the posting list, and fetch pulls
+	// the run starting at the block containing a byte offset on demand. Fully resident iterators set
 	// win = buf, winBase = 0, fetch = nil, making the window a no-op
 	// aliasing of the usual buffer.
 	win     []byte
@@ -116,10 +116,10 @@ func newPostingsIterator(comp Compression, buf []byte, count int32) PostingsIter
 
 // window returns the byte window containing it.pos and the window's
 // offset within the posting list. Fully resident iterators return
-// (buf, 0); lazy iterators pull the enclosing block through fetch when
-// the cursor has left the current window. A failed fetch yields an
-// empty window based at it.pos, which every decode path treats as a
-// truncated (exhausted) list rather than a crash.
+// (buf, 0); lazy iterators pull the run starting at the enclosing block
+// through fetch when the cursor has left the current window. A failed
+// fetch yields an empty window based at it.pos, which every decode path
+// treats as a truncated (exhausted) list rather than a crash.
 func (it *PostingsIterator) window() ([]byte, int) {
 	if it.fetch == nil || (it.pos >= it.winBase && it.pos < it.winBase+len(it.win)) {
 		return it.win, it.winBase

@@ -21,7 +21,7 @@ import (
 //
 // The footer is the entry point for range readers: fetch the last
 // SegmentFooterLen bytes, then the [0, postOff) prefix — everything a
-// searcher needs except posting bytes — and demand-load individual
+// searcher needs except posting bytes — and demand-load runs of
 // posting blocks with range reads. Serialized skip tables are what make
 // that possible: their byte positions are exactly the packed/varint
 // block boundaries, so block k of a term's list is the range between
@@ -338,16 +338,26 @@ func readSegmentV05(rd *reader) (*Segment, error) {
 	return s, nil
 }
 
-// BlockFetcher supplies encoded posting bytes to a lazily opened
-// segment. off and n select a byte range within the segment's postings
-// section (the caller adds the file-level postings offset); term and
-// block identify the range for caching. Implementations must return
-// exactly n bytes or an error.
-type BlockFetcher func(term int32, block int, off, n int64) ([]byte, error)
+// MaxFetchRun is the most posting blocks one lazy fetch asks for. A
+// cache miss reads the run of uncached blocks that starts at the missing
+// one in a single ranged request, so a cold sequential scan of an
+// N-block list costs ⌈N/MaxFetchRun⌉ round trips, not N.
+const MaxFetchRun = 8
+
+// RunFetcher supplies encoded posting bytes to a lazily opened segment,
+// a run of consecutive blocks at a time. bounds holds the run's block
+// boundaries within the segment's postings section (the caller adds the
+// file-level postings offset): block first+i of term's list spans
+// [bounds[i], bounds[i+1]), and len(bounds)-1 blocks, at most
+// MaxFetchRun, are asked for. The fetcher returns the bytes of the first
+// k ≥ 1 of them — exactly bounds[k]-bounds[0] bytes, so it may stop
+// short of the run, for example at a block it already holds — or an
+// error. bounds is valid only for the duration of the call.
+type RunFetcher func(term int32, first int, bounds []int64) ([]byte, error)
 
 // lazyPostings is the demand-load state of a remotely opened segment.
 type lazyPostings struct {
-	fetch BlockFetcher
+	fetch RunFetcher
 	// offs[i] is term i's posting-list start within the postings
 	// section; offs[len] is the section's total length.
 	offs []int64
@@ -355,13 +365,14 @@ type lazyPostings struct {
 
 // OpenLazySegment opens a v05 segment from its metadata prefix — the
 // file bytes [0, layout.PostOff), i.e. header, doc and dict sections —
-// without its postings. Posting blocks are pulled through fetch on
-// demand: short lists (and raw-encoded ones) as a single unit, long
-// varint/packed lists one skip-aligned block at a time, which is what
-// makes a searcher over such a segment serve from a byte-budgeted block
-// cache instead of resident posting data. The returned segment supports
-// everything an in-memory segment does except re-serialization.
-func OpenLazySegment(meta []byte, fetch BlockFetcher) (*Segment, error) {
+// without its postings. Posting bytes are pulled through fetch on
+// demand in runs of skip-aligned blocks: a short (or raw-encoded) list
+// is a run of one block, a long varint/packed list is read up to
+// MaxFetchRun blocks at a time from wherever its cursor lands. That is
+// what makes a searcher over such a segment serve from a byte-budgeted
+// block cache instead of resident posting data. The returned segment
+// supports everything an in-memory segment does except re-serialization.
+func OpenLazySegment(meta []byte, fetch RunFetcher) (*Segment, error) {
 	if fetch == nil {
 		return nil, fmt.Errorf("index: OpenLazySegment requires a fetcher")
 	}
@@ -391,8 +402,10 @@ func OpenLazySegment(meta []byte, fetch BlockFetcher) (*Segment, error) {
 // lazyIterator builds an iterator over a demand-loaded posting list.
 // Lists without a skip table (short lists and raw encoding) are a
 // single block fetched up front; longer lists attach a window fetcher
-// that maps byte positions to skip-aligned blocks, so pruned evaluation
-// never pulls the blocks it skips.
+// that maps a byte position to its skip-aligned block and pulls the run
+// starting there, so pruned evaluation never fetches a run that starts
+// in a block it skips. A window spanning several blocks needs nothing
+// special from the decoders: no posting crosses a block boundary.
 func (s *Segment) lazyIterator(id int32, withSkips bool) PostingsIterator {
 	df := s.docFreqs[id]
 	it := PostingsIterator{comp: s.comp, count: df, initCount: df, doc: -1}
@@ -402,38 +415,60 @@ func (s *Segment) lazyIterator(id int32, withSkips bool) PostingsIterator {
 		it.skips = table
 		s.applyBlockMax(id, &it)
 	}
-	start := s.lazy.offs[id]
-	plen := s.lazy.offs[id+1] - start
-	fetch := s.lazy.fetch
+	// The run bounds are built in per-iterator scratch: like the rest of
+	// its state, an iterator is used by one goroutine at a time.
+	var scratch [MaxFetchRun + 1]int64
 	if len(table) == 0 {
-		buf, err := fetch(id, 0, start, plen)
-		if err != nil || int64(len(buf)) != plen {
-			buf = nil // decodes as a truncated list: exhausted, never wrong bytes
-		}
-		it.buf = buf
-		it.win = buf
+		// A failed fetch leaves buf nil, which decodes as a truncated
+		// list: exhausted, never wrong bytes.
+		it.buf, _, _ = s.fetchRun(id, 0, scratch[:0])
+		it.win = it.buf
 		return it
 	}
+	plen := s.lazy.offs[id+1] - s.lazy.offs[id]
 	it.fetch = func(pos int) ([]byte, int) {
-		b := blockForPos(table, pos)
-		lo := int64(0)
-		if b > 0 {
-			lo = int64(table[b-1].pos)
-		}
-		hi := plen
-		if b < len(table) {
-			hi = int64(table[b].pos)
-		}
-		if int64(pos) < lo || int64(pos) >= hi {
+		if int64(pos) >= plen {
 			return nil, pos
 		}
-		data, err := fetch(id, b, start+lo, hi-lo)
-		if err != nil || int64(len(data)) != hi-lo {
+		data, lo, k := s.fetchRun(id, blockForPos(table, pos), scratch[:0])
+		if k == 0 {
 			return nil, pos
 		}
 		return data, int(lo)
 	}
 	return it
+}
+
+// fetchRun reads the run of up to MaxFetchRun blocks of term id's list
+// that starts at block first. It returns the bytes, their offset within
+// the list and the number of whole blocks they cover; a failed fetch,
+// or one that does not end on a block boundary, covers 0 blocks. The
+// run's bounds are built in scratch.
+func (s *Segment) fetchRun(id int32, first int, scratch []int64) ([]byte, int64, int) {
+	start, end := s.lazy.offs[id], s.lazy.offs[id+1]
+	table := s.skips[id]
+	bounds := scratch
+	// Block b starts at table[b-1].pos (block 0 at 0); the list's end
+	// closes its last block, block len(table).
+	for b := first; b <= min(first+MaxFetchRun, len(table)+1); b++ {
+		off := end
+		if b == 0 {
+			off = start
+		} else if b <= len(table) {
+			off = start + int64(table[b-1].pos)
+		}
+		bounds = append(bounds, off)
+	}
+	data, err := s.lazy.fetch(id, first, bounds)
+	if err != nil {
+		return nil, 0, 0
+	}
+	for k := 1; k < len(bounds); k++ {
+		if int64(len(data)) == bounds[k]-bounds[0] {
+			return data, bounds[0] - start, k
+		}
+	}
+	return nil, 0, 0
 }
 
 // blockForPos returns the index of the block whose byte range contains
@@ -454,39 +489,23 @@ func blockForPos(table []skipEntry, pos int) int {
 
 // lazyListBytes materializes one full posting list of a lazy segment
 // (the positional-iterator path, which needs random access to the whole
-// list).
+// list), run by run.
 func (s *Segment) lazyListBytes(id int32) []byte {
-	start := s.lazy.offs[id]
-	plen := s.lazy.offs[id+1] - start
-	table := s.skips[id]
-	if len(table) == 0 {
-		buf, err := s.lazy.fetch(id, 0, start, plen)
-		if err != nil || int64(len(buf)) != plen {
+	var scratch [MaxFetchRun + 1]int64
+	out := make([]byte, 0, s.lazy.offs[id+1]-s.lazy.offs[id])
+	for b := 0; b <= len(s.skips[id]); {
+		data, _, k := s.fetchRun(id, b, scratch[:0])
+		if k == 0 {
 			return nil
 		}
-		return buf
-	}
-	out := make([]byte, 0, plen)
-	lo := int64(0)
-	for b := 0; b <= len(table); b++ {
-		hi := plen
-		if b < len(table) {
-			hi = int64(table[b].pos)
-		}
-		if hi > lo {
-			data, err := s.lazy.fetch(id, b, start+lo, hi-lo)
-			if err != nil || int64(len(data)) != hi-lo {
-				return nil
-			}
-			out = append(out, data...)
-		}
-		lo = hi
+		out = append(out, data...)
+		b += k
 	}
 	return out
 }
 
 // IsLazy reports whether the segment demand-loads posting blocks
-// through a BlockFetcher instead of holding them resident.
+// through a RunFetcher instead of holding them resident.
 func (s *Segment) IsLazy() bool { return s.lazy != nil }
 
 // byteReader is a minimal io.Reader over a byte slice (bytes.Reader
