@@ -2,6 +2,7 @@ package index
 
 import (
 	"sort"
+	"strings"
 
 	"websearchbench/internal/corpus"
 	"websearchbench/internal/textproc"
@@ -20,14 +21,25 @@ type Builder struct {
 	docs     []StoredDoc
 	totalLen int64
 
-	scratch    map[string]int32   // per-document term frequencies, reused
-	scratchPos map[string][]int32 // per-document term positions, reused
-	termsBuf   []string           // per-document sorted distinct terms, reused
+	// memo maps each distinct raw token AddDocument has seen to its
+	// term's accumulator, or to nil when the analyzer drops the token,
+	// so a token is lowercased, stopword-checked and stemmed once per
+	// builder, not once per occurrence.
+	memo    map[string]*termAcc
+	touched []*termAcc // terms of the document being added, reused
 }
 
 type termAcc struct {
 	enc      postingsEncoder
 	collFreq int64
+
+	// The document AddDocument is adding: doc is the ID of the last
+	// document that touched the term (-1 before any), tf the term's
+	// frequency in it and pos its positions (positional builders only;
+	// the slice is reused).
+	doc int32
+	tf  int32
+	pos []int32
 }
 
 // BuilderOption customizes a Builder.
@@ -62,12 +74,11 @@ func WithPositions() BuilderOption {
 // packed compression and standard BM25 parameters.
 func NewBuilder(opts ...BuilderOption) *Builder {
 	b := &Builder{
-		comp:       CompressionPacked,
-		analyzer:   textproc.NewAnalyzer(),
-		bm25:       DefaultBM25(),
-		terms:      make(map[string]*termAcc),
-		scratch:    make(map[string]int32),
-		scratchPos: make(map[string][]int32),
+		comp:     CompressionPacked,
+		analyzer: textproc.NewAnalyzer(),
+		bm25:     DefaultBM25(),
+		terms:    make(map[string]*termAcc),
+		memo:     make(map[string]*termAcc),
 	}
 	for _, opt := range opts {
 		opt(b)
@@ -83,47 +94,49 @@ const snippetLen = 160
 
 // AddDocument indexes one document (title and body pass through the
 // analyzer; title terms are indexed alongside body terms) and returns its
-// docID within the segment under construction.
+// docID within the segment under construction. The stored snippet and
+// new dictionary keys are clones, not substrings of title or body, so a
+// served segment does not pin the document's text.
 func (b *Builder) AddDocument(title, body, url string, quality float64) int32 {
 	docID := int32(len(b.docLens))
-	clear(b.scratch)
-	if b.positions {
-		clear(b.scratchPos)
-	}
 	var docLen int32
-	count := func(term string) {
-		if b.positions {
-			b.scratchPos[term] = append(b.scratchPos[term], docLen)
+	count := func(token string) {
+		acc, ok := b.memo[token]
+		if !ok {
+			if term := b.analyzer.Term(token); term != "" {
+				acc = b.acc(term)
+			}
+			b.memo[strings.Clone(token)] = acc
 		}
-		b.scratch[term]++
+		if acc == nil {
+			return
+		}
+		if acc.doc != docID {
+			acc.doc, acc.tf, acc.pos = docID, 0, acc.pos[:0]
+			b.touched = append(b.touched, acc)
+		}
+		acc.tf++
+		if b.positions {
+			acc.pos = append(acc.pos, docLen)
+		}
 		docLen++
 	}
-	b.analyzer.AnalyzeFunc(title, count)
-	b.analyzer.AnalyzeFunc(body, count)
+	textproc.TokenizeFunc(title, count)
+	textproc.TokenizeFunc(body, count)
 
-	// Postings must be appended in deterministic order for reproducible
-	// segments; sort this document's distinct terms. The slice is builder
-	// scratch, reused across documents.
-	terms := b.termsBuf[:0]
-	for t := range b.scratch {
-		terms = append(terms, t)
-	}
-	sort.Strings(terms)
-	b.termsBuf = terms
-	for _, t := range terms {
-		acc, ok := b.terms[t]
-		if !ok {
-			acc = &termAcc{enc: postingsEncoder{comp: b.comp}}
-			b.terms[t] = acc
-		}
-		f := b.scratch[t]
+	// Each touched term's encoder gets this document once. The order
+	// across terms is free: every term has its own posting list, each
+	// still sees doc IDs in increasing order, and Finalize sorts the
+	// dictionary, so the segment's bytes do not depend on it.
+	for _, acc := range b.touched {
 		if b.positions {
-			acc.enc.addWithPositions(docID, b.scratchPos[t])
+			acc.enc.addWithPositions(docID, acc.pos)
 		} else {
-			acc.enc.add(docID, f)
+			acc.enc.add(docID, acc.tf)
 		}
-		acc.collFreq += int64(f)
+		acc.collFreq += int64(acc.tf)
 	}
+	b.touched = b.touched[:0]
 
 	snippet := body
 	if len(snippet) > snippetLen {
@@ -135,9 +148,20 @@ func (b *Builder) AddDocument(title, body, url string, quality float64) int32 {
 		URL:     url,
 		Title:   title,
 		Quality: float32(quality),
-		Snippet: snippet,
+		Snippet: strings.Clone(snippet),
 	})
 	return docID
+}
+
+// acc returns term's accumulator, creating it on first sight under a
+// cloned key, since term may be a substring of a document's text.
+func (b *Builder) acc(term string) *termAcc {
+	acc, ok := b.terms[term]
+	if !ok {
+		acc = &termAcc{enc: postingsEncoder{comp: b.comp}, doc: -1}
+		b.terms[strings.Clone(term)] = acc
+	}
+	return acc
 }
 
 // AddCorpusDoc indexes a synthetic corpus document.
@@ -162,11 +186,7 @@ func (b *Builder) AddPreanalyzed(stored StoredDoc, terms []string, freqs []int32
 	var docLen int32
 	for i, t := range terms {
 		f := freqs[i]
-		acc, ok := b.terms[t]
-		if !ok {
-			acc = &termAcc{enc: postingsEncoder{comp: b.comp}}
-			b.terms[t] = acc
-		}
+		acc := b.acc(t)
 		acc.enc.add(docID, f)
 		acc.collFreq += int64(f)
 		docLen += f
@@ -215,6 +235,8 @@ func (b *Builder) Finalize() *Segment {
 	s.buildSkips()
 	s.computeBlockMaxes()
 	b.terms = nil
+	b.memo = nil
+	b.touched = nil
 	b.docLens = nil
 	b.docs = nil
 	return s

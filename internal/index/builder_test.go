@@ -2,9 +2,12 @@ package index
 
 import (
 	"bytes"
+	"fmt"
 	"math"
+	"slices"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"websearchbench/internal/corpus"
 	"websearchbench/internal/textproc"
@@ -126,6 +129,79 @@ func TestSnippetTruncation(t *testing.T) {
 	s := b.Finalize()
 	if got := len(s.Doc(0).Snippet); got != snippetLen {
 		t.Errorf("snippet length = %d, want %d", got, snippetLen)
+	}
+}
+
+// largeText returns about 64 KiB of text whose tokens are lowercase
+// ASCII the analyzer passes through unchanged, so an uncopied term or
+// snippet would be a substring of it.
+func largeText() string {
+	var sb strings.Builder
+	for i := 0; sb.Len() < 64<<10; i++ {
+		fmt.Fprintf(&sb, "w%d alpha%d ", i, i%97)
+	}
+	return sb.String()
+}
+
+// overlaps reports whether s shares any byte of memory with text.
+func overlaps(s, text string) bool {
+	if s == "" || text == "" {
+		return false
+	}
+	p := uintptr(unsafe.Pointer(unsafe.StringData(s)))
+	lo := uintptr(unsafe.Pointer(unsafe.StringData(text)))
+	return p < lo+uintptr(len(text)) && lo < p+uintptr(len(s))
+}
+
+// TestSegmentDoesNotPinText checks that a built segment holds copies,
+// not substrings, of the text it was built from: a served segment that
+// aliased a body would keep the whole body alive.
+func TestSegmentDoesNotPinText(t *testing.T) {
+	for _, opts := range [][]BuilderOption{nil, {WithPositions()}} {
+		body := largeText()
+		b := NewBuilder(opts...)
+		b.AddDocument("Title", body, "u", 1)
+		s := b.Finalize()
+		checkNoAlias(t, s, body)
+	}
+
+	// Pre-analyzed terms may themselves be substrings of the ingested
+	// text, as the live memtable's are.
+	text := largeText()
+	var terms []string
+	textproc.TokenizeFunc(text, func(tok string) {
+		if len(terms) < 100 {
+			terms = append(terms, tok)
+		}
+	})
+	slices.Sort(terms)
+	terms = slices.Compact(terms)
+	freqs := make([]int32, len(terms))
+	for i := range freqs {
+		freqs[i] = 1
+	}
+	b := NewBuilder()
+	b.AddPreanalyzed(StoredDoc{URL: "u"}, terms, freqs)
+	checkNoAlias(t, b.Finalize(), text)
+}
+
+func checkNoAlias(t *testing.T, s *Segment, text string) {
+	t.Helper()
+	if s.NumTerms() == 0 {
+		t.Fatal("segment has no terms")
+	}
+	for id := int32(0); id < int32(s.NumDocs()); id++ {
+		d := s.Doc(id)
+		for _, f := range []string{d.URL, d.Title, d.Snippet} {
+			if overlaps(f, text) {
+				t.Errorf("doc %d: stored field %.20q aliases the document text", id, f)
+			}
+		}
+	}
+	for _, term := range s.Terms() {
+		if overlaps(term, text) {
+			t.Fatalf("dictionary term %q aliases the document text", term)
+		}
 	}
 }
 

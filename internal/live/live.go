@@ -2,6 +2,7 @@ package live
 
 import (
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -276,7 +277,9 @@ func (li *Index) Add(key, title, body string, quality float64) error {
 	if len(snippet) > storedSnippetLen {
 		snippet = snippet[:storedSnippetLen]
 	}
-	stored := index.StoredDoc{URL: key, Title: title, Quality: float32(quality), Snippet: snippet}
+	// Clone the snippet so the stored doc, and every segment built from
+	// it, does not pin the whole body.
+	stored := index.StoredDoc{URL: key, Title: title, Quality: float32(quality), Snippet: strings.Clone(snippet)}
 
 	li.mu.Lock()
 	defer li.mu.Unlock()

@@ -3,8 +3,10 @@ package live
 import (
 	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 	"time"
+	"unsafe"
 
 	"websearchbench/internal/search"
 )
@@ -123,6 +125,42 @@ func TestLiveFlushVisibility(t *testing.T) {
 		}
 		if !alive[key] && len(hits) != 0 {
 			t.Fatalf("unique probe for deleted %s returned %v", key, hitKeys(hits))
+		}
+	}
+}
+
+// TestLiveSegmentDoesNotPinText checks that a flushed segment holds
+// copies of the document's snippet and terms, not substrings of the
+// ingested body, so serving it does not keep the body alive.
+func TestLiveSegmentDoesNotPinText(t *testing.T) {
+	li := NewIndex(Config{})
+	defer li.Close()
+	var sb strings.Builder
+	for i := 0; sb.Len() < 64<<10; i++ {
+		fmt.Fprintf(&sb, "w%d alpha%d ", i, i%97)
+	}
+	body := sb.String()
+	if err := li.Add("k", "title", body, 0.5); err != nil {
+		t.Fatal(err)
+	}
+	if err := li.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	seg := li.Segment()
+	if seg == nil || seg.NumTerms() == 0 {
+		t.Fatal("no flushed segment")
+	}
+	lo := uintptr(unsafe.Pointer(unsafe.StringData(body)))
+	aliases := func(s string) bool {
+		p := uintptr(unsafe.Pointer(unsafe.StringData(s)))
+		return s != "" && p < lo+uintptr(len(body)) && lo < p+uintptr(len(s))
+	}
+	if d := seg.Doc(0); aliases(d.Snippet) {
+		t.Errorf("stored snippet aliases the body")
+	}
+	for _, term := range seg.Terms() {
+		if aliases(term) {
+			t.Fatalf("dictionary term %q aliases the body", term)
 		}
 	}
 }

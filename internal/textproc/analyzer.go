@@ -49,17 +49,38 @@ func (a *Analyzer) AnalyzeFunc(text string, fn func(term string)) {
 		defer stemScratchPool.Put(sc)
 	}
 	TokenizeFunc(text, func(token string) {
-		term := Lowercase(token)
-		if !a.KeepStopwords && IsStopword(term) {
-			return
-		}
-		if sc != nil {
-			term = sc.stem(term)
-		}
-		if term != "" {
+		if term := a.term(token, sc); term != "" {
 			fn(term)
 		}
 	})
+}
+
+// Term runs the per-token step of the pipeline (lowercase, stopword
+// removal, stemming) over one raw token as TokenizeFunc yields it, and
+// returns its index term, or "" when the token is dropped. AnalyzeFunc
+// emits exactly the non-empty Term of each token, so a caller that
+// remembers Term per distinct token, as the index builder does, indexes
+// the same terms. The result may share memory with token.
+func (a *Analyzer) Term(token string) string {
+	var sc *stemScratch
+	if !a.DisableStemming {
+		sc = stemScratchPool.Get().(*stemScratch)
+		defer stemScratchPool.Put(sc)
+	}
+	return a.term(token, sc)
+}
+
+// term is Term with the caller's stemmer scratch (nil when stemming is
+// off).
+func (a *Analyzer) term(token string, sc *stemScratch) string {
+	term := Lowercase(token)
+	if !a.KeepStopwords && IsStopword(term) {
+		return ""
+	}
+	if sc != nil {
+		term = sc.stem(term)
+	}
+	return term
 }
 
 // AnalyzeQuery analyzes a free-text query using the same pipeline as

@@ -70,6 +70,40 @@ func TestAnalyzeFuncMatchesAnalyze(t *testing.T) {
 	}
 }
 
+// FuzzAnalyzeTerm checks that Analyze is exactly the non-empty Term of
+// each token of Tokenize, for every analyzer configuration: the index
+// builder caches Term per distinct token instead of calling Analyze, so
+// the two paths must never drift.
+func FuzzAnalyzeTerm(f *testing.F) {
+	for _, s := range []string{
+		"",
+		"The quick brown foxes are jumping over the lazy dogs!",
+		"Café CAFÉ the THE running Running runs 42 x9 ΑΒΓ straße naïve",
+		"a an is IS generalizations connected 007 e.g.",
+	} {
+		f.Add(s)
+	}
+	analyzers := []*Analyzer{
+		{},
+		{KeepStopwords: true},
+		{DisableStemming: true},
+		{KeepStopwords: true, DisableStemming: true},
+	}
+	f.Fuzz(func(t *testing.T, text string) {
+		for _, a := range analyzers {
+			var want []string
+			for _, tok := range Tokenize(text) {
+				if term := a.Term(tok); term != "" {
+					want = append(want, term)
+				}
+			}
+			if got := a.Analyze(text); !reflect.DeepEqual(got, want) {
+				t.Fatalf("%+v: Analyze(%q) = %q, Term over Tokenize = %q", *a, text, got, want)
+			}
+		}
+	})
+}
+
 func BenchmarkAnalyze(b *testing.B) {
 	a := NewAnalyzer()
 	text := "Web search runs on thousands of servers which perform search " +

@@ -13,28 +13,14 @@ import (
 // appearance. Tokens are returned as raw (not lowercased) strings.
 func Tokenize(text string) []string {
 	var tokens []string
-	start := -1
-	for i, r := range text {
-		if unicode.IsLetter(r) || unicode.IsDigit(r) {
-			if start < 0 {
-				start = i
-			}
-			continue
-		}
-		if start >= 0 {
-			tokens = append(tokens, text[start:i])
-			start = -1
-		}
-	}
-	if start >= 0 {
-		tokens = append(tokens, text[start:])
-	}
+	TokenizeFunc(text, func(token string) { tokens = append(tokens, token) })
 	return tokens
 }
 
-// TokenizeFunc calls fn for each token in text without allocating a slice.
-// It is the allocation-free variant of Tokenize used on the indexing and
-// query hot paths.
+// TokenizeFunc calls fn for each token of text, as Tokenize splits it,
+// without allocating a slice. It is the one tokenizer loop: Tokenize and
+// the analyzer are built on it, and the indexing and query hot paths call
+// it directly. Each token is a substring of text.
 func TokenizeFunc(text string, fn func(token string)) {
 	start := -1
 	for i, r := range text {
